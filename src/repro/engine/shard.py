@@ -39,6 +39,19 @@ Per-chunk backend dispatch
     fallback is never silent: per-chunk obstacles are aggregated into the
     sweep's ``vector_report`` and a ``RuntimeWarning``.
 
+    One decision is made once per sweep, from the topology alone: under
+    ``"auto"`` and ``"process"`` a circuit whose every gate lies on a
+    feedback loop (:func:`~repro.engine.capability.loop_only`, e.g. the
+    Theorem 9 storage loop) runs every chunk on the scalar engine
+    without consulting the vector compiler, whose fixpoint re-simulates
+    the whole horizon once per loop delay and has no levelized work to
+    amortise that against.  This is a choice, not a fallback: each
+    computed chunk's :class:`ChunkRecord` names the reason in
+    ``scalar_reason``, no warning fires and ``vector_report`` is
+    ``None``.  The engines are bit-identical, so chunk keys and
+    checkpoint payloads do not depend on it.  ``backend="vector"``
+    always runs the fixpoint.
+
 Fault injection
     :class:`FaultInjector` wraps a chunk executor and raises chosen
     faults on chosen ``(chunk, attempt)`` pairs -- the deterministic
@@ -64,6 +77,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.transitions import Signal, _signal_from_packed
+from .capability import LOOP_ONLY_REASON, loop_only
 from .errors import SimulationError
 from .scheduler import CircuitTopology, Engine, Execution
 
@@ -923,7 +937,15 @@ class _ProcessChunkRunner:
 
 @dataclass(frozen=True)
 class ChunkRecord:
-    """How one chunk of a sharded sweep was satisfied."""
+    """How one chunk of a sharded sweep was satisfied.
+
+    ``vector_reasons`` lists the obstacles that made a chunk fall back
+    from the vector compiler; ``scalar_reason`` says why the sweep sent a
+    computed chunk to the scalar engine without trying the compiler (see
+    "Per-chunk backend dispatch" in :mod:`repro.engine.shard`).  Resumed
+    chunks carry no ``scalar_reason``: the checkpoint payload does not
+    store it.
+    """
 
     index: int
     scenarios: int
@@ -933,6 +955,7 @@ class ChunkRecord:
     seconds: float
     vector_reasons: Tuple[str, ...] = ()
     key: Optional[str] = None
+    scalar_reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -964,11 +987,14 @@ class ShardReport:
     def summary(self) -> str:
         """One-line human-readable account of the sweep's chunks."""
         backends = ", ".join(f"{k} x {v}" for k, v in sorted(self.backends().items()))
-        return (
+        text = (
             f"{self.computed} chunk(s) computed, {self.resumed} resumed, "
             f"{self.failed} failed (chunk size {self.chunk_size}, "
             f"{self.executor}; {backends or 'no chunks'})"
         )
+        for reason in sorted({r.scalar_reason for r in self.records} - {None}):
+            text += f"; scalar by dispatch: {reason}"
+        return text
 
 
 # --------------------------------------------------------------------------- #
@@ -1090,7 +1116,10 @@ def run_many_sharded(
         engine when it compiles and to the scalar engine otherwise
         (fallback reasons aggregate into ``vector_report``); ``"process"``
         does the same inside each pool worker; ``"sequential"`` pins the
-        scalar engine.  ``"thread"`` is accepted for drop-in
+        scalar engine.  ``"auto"`` and ``"process"`` run a circuit whose
+        every gate lies on a feedback loop entirely on the scalar engine
+        (each record's ``scalar_reason`` says so); ``"vector"`` always
+        tries the compiler.  ``"thread"`` is accepted for drop-in
         compatibility with ``run_many`` defaults but degrades to
         sequential chunk execution (and rejects ``max_workers > 1``:
         GIL-bound chunk threads would serialize anyway while muddying
@@ -1142,6 +1171,12 @@ def run_many_sharded(
     policy = as_retry_policy(retry)
     size = int(chunk_size) if chunk_size else DEFAULT_CHUNK_SIZE
     dispatch = backend in ("auto", "vector", "process")
+    # Decided once per sweep from the topology; a custom executor keeps
+    # its own dispatch.  See "Per-chunk backend dispatch" above.
+    scalar_reason: Optional[str] = None
+    if backend in ("auto", "process") and executor is None and loop_only(topology):
+        dispatch = False
+        scalar_reason = LOOP_ONLY_REASON
     use_process = backend == "process" and executor is None
     if use_process and max_workers is None:
         max_workers = os.cpu_count() or 1
@@ -1222,6 +1257,7 @@ def run_many_sharded(
             seconds=outcome.seconds,
             vector_reasons=outcome.vector_reasons,
             key=chunk.key,
+            scalar_reason=scalar_reason,
         )
         if writer is not None:
             writer.submit(chunk, outcome)

@@ -335,11 +335,12 @@ def run_many(
         be spec-representable and the scenarios to be picklable.
     ``backend="vector"``
         The NumPy-vectorized batch engine (:mod:`repro.engine.vector`):
-        all scenarios of a feed-forward sweep are evaluated simultaneously
-        through masked array operations, typically several times faster
-        than ``sequential`` on one core for Monte Carlo families with real
-        per-run work.  Circuits or channels the vector compiler cannot
-        express (feedback loops, custom channel/adversary classes, ...)
+        all scenarios of a sweep are evaluated simultaneously through
+        masked array operations (feedback loops iterate to a fixpoint),
+        typically several times faster than ``sequential`` on one core
+        for Monte Carlo families with real per-run work.  Circuits or
+        channels the vector compiler cannot express (custom
+        channel/adversary classes, zero-delay cycles, ...)
         fall back to the sequential scalar path automatically -- with a
         :class:`~repro.engine.vector.VectorCapability` report attached as
         ``SweepResult.vector_report`` and a ``RuntimeWarning`` naming
@@ -363,8 +364,14 @@ def run_many(
     (:func:`repro.engine.shard.run_many_sharded`): scenarios split into
     deterministic spec-keyed chunks that are individually checkpointed,
     retried with exponential backoff, quarantined when poisonous, and
-    dispatched per-chunk between the vector and scalar engines.  In
-    sharded mode ``chunk_size`` means scenarios per chunk (default
+    dispatched per-chunk between the vector and scalar engines.  A
+    circuit whose every gate lies on a feedback loop (the Theorem 9
+    storage loop) runs every chunk on the scalar engine under ``auto``:
+    the vector fixpoint re-simulates the whole horizon once per loop
+    delay and was 8x to 237x slower there (see
+    :func:`~repro.engine.capability.loop_only`); ``backend="vector"``
+    still runs the fixpoint.  In sharded mode ``chunk_size`` means
+    scenarios per chunk (default
     :data:`~repro.engine.shard.DEFAULT_CHUNK_SIZE`) and is part of the
     checkpoint identity.  See :mod:`repro.engine.shard` and
     ``docs/resilience.md`` for the full semantics.

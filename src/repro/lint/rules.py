@@ -1017,7 +1017,11 @@ def _check_feedback_loop(ctx: CircuitContext) -> Iterator[Finding]:
     SPF circuit).  Both engines handle them -- the event-driven scalar
     engine natively, the vector backend via its fixpoint lockstep
     schedule -- but the loop is worth surfacing: convergence cost grows
-    with the number of feedback round-trips inside the time horizon."""
+    with the number of feedback round-trips inside the time horizon.
+    ``backend="auto"`` therefore runs a circuit whose every gate lies on
+    a feedback loop on the event-driven engine (the fixpoint re-simulates
+    the whole horizon once per loop delay); a loop behind acyclic gates
+    still runs on the vector backend."""
     cycle = _find_cycle(ctx, ctx.edges)
     if cycle is not None:
         yield (

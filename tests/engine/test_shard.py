@@ -13,14 +13,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import inverter_chain
+from repro.circuits import BUF, OR2, fed_back_or, inverter_chain
 from repro.core import (
     EtaInvolutionChannel,
     InvolutionChannel,
+    InvolutionPair,
+    PureDelayChannel,
     Signal,
     ZeroAdversary,
+    admissible_eta_bound,
 )
-from repro.engine import Scenario, SimulationError, eta_monte_carlo, run_many
+from repro.engine import (
+    CircuitTopology,
+    Scenario,
+    SimulationError,
+    eta_monte_carlo,
+    run_many,
+)
+from repro.engine.capability import LOOP_ONLY_REASON, loop_only
 from repro.engine.shard import (
     DEFAULT_CHUNK_SIZE,
     ChunkTimeoutError,
@@ -60,6 +70,41 @@ def mc_scenarios(eta_chain):
 def baseline(eta_chain, mc_scenarios):
     """The uninterrupted sweep every resume test must match bit-for-bit."""
     return run_many(eta_chain, mc_scenarios, backend="sequential")
+
+
+@pytest.fixture(scope="module")
+def storage_loop():
+    """The paper's storage loop (Fig. 5): every gate lies on a feedback loop."""
+    pair = InvolutionPair.exp_channel(tau=1.0, t_p=0.5)
+    eta = admissible_eta_bound(pair, eta_plus=0.05)
+    return fed_back_or(EtaInvolutionChannel(pair, eta, ZeroAdversary()))
+
+
+@pytest.fixture(scope="module")
+def loop_scenarios():
+    """Pulse lengths across the cancelled, marginal and latched regimes."""
+    return [
+        Scenario(
+            f"w={w:g}", {"i": Signal.pulse(0.0, w)}, 120.0
+        )
+        for w in (0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.4, 1.8)
+    ]
+
+
+@pytest.fixture(scope="module")
+def chain_loop(exp_pair, eta_small):
+    """An inverter chain ending in an OR2 latch: only the latch is on a loop."""
+    circuit = inverter_chain(
+        3, lambda: EtaInvolutionChannel(exp_pair, eta_small, ZeroAdversary())
+    )
+    circuit.add_gate("latch", OR2, initial_value=0)
+    circuit.add_gate("hold", BUF, initial_value=0)
+    circuit.add_output("stored")
+    circuit.connect("inv3", "latch", PureDelayChannel(1.0), pin=0, name="into")
+    circuit.connect("latch", "hold", PureDelayChannel(4.0), pin=0, name="fwd")
+    circuit.connect("hold", "latch", PureDelayChannel(4.0), pin=1, name="back")
+    circuit.connect("latch", "stored")
+    return circuit
 
 
 def pulse_scenarios(n, end_time=40.0):
@@ -259,23 +304,15 @@ class TestCheckpointResume:
         assert resumed.shard_report.computed == 1
         assert_sweeps_identical(baseline, resumed)
 
-    def test_cyclic_sweep_resumes_onto_vector_chunks(self, tmp_path):
-        # Feedback cycles dispatch to the vector backend now: a killed
-        # `backend="auto"` sweep over the paper's storage loop must
-        # resume with every chunk -- checkpointed and recomputed alike
-        # -- on the vector path, bit-identical to an unbroken run.
-        from repro.circuits import fed_back_or
-        from repro.core import InvolutionPair, admissible_eta_bound
-
-        pair = InvolutionPair.exp_channel(tau=1.0, t_p=0.5)
-        eta = admissible_eta_bound(pair, eta_plus=0.05)
-        loop = fed_back_or(EtaInvolutionChannel(pair, eta, ZeroAdversary()))
-        scenarios = [
-            Scenario(
-                f"w={w:g}", {"i": Signal.pulse(0.0, w)}, 120.0
-            )
-            for w in (0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.4, 1.8)
-        ]
+    def test_cyclic_sweep_resumes_onto_vector_chunks(
+        self, storage_loop, loop_scenarios, tmp_path
+    ):
+        # Feedback cycles run on the vector fixpoint under
+        # `backend="vector"`: a killed sweep over the paper's storage
+        # loop must resume with every chunk -- checkpointed and
+        # recomputed alike -- on the vector path, bit-identical to an
+        # unbroken run.
+        loop, scenarios = storage_loop, loop_scenarios
         baseline = run_many(loop, scenarios, backend="sequential")
         store = ArtifactStore(tmp_path / "ckpt")
         injector = FaultInjector(
@@ -283,16 +320,34 @@ class TestCheckpointResume:
         )
         with pytest.raises(KeyboardInterrupt):
             run_many_sharded(
-                loop, scenarios, backend="auto", checkpoint=store,
+                loop, scenarios, backend="vector", checkpoint=store,
                 chunk_size=3, executor=injector,
             )
         resumed = run_many_sharded(
-            loop, scenarios, backend="auto", checkpoint=store, chunk_size=3
+            loop, scenarios, backend="vector", checkpoint=store, chunk_size=3
         )
         assert resumed.shard_report.resumed == 2
         assert resumed.shard_report.computed == 1
         assert {r.backend for r in resumed.shard_report.records} == {"vector"}
         assert_sweeps_identical(baseline, resumed)
+
+    def test_vector_checkpoint_of_loop_resumes_under_auto(
+        self, storage_loop, loop_scenarios, tmp_path
+    ):
+        # The scalar dispatch of loop-only circuits is result-neutral, so
+        # it leaves chunk keys alone: auto resumes what vector wrote.
+        store = ArtifactStore(tmp_path / "ckpt")
+        written = run_many_sharded(
+            storage_loop, loop_scenarios, backend="vector", checkpoint=store,
+            chunk_size=3,
+        )
+        resumed = run_many_sharded(
+            storage_loop, loop_scenarios, backend="auto", checkpoint=store,
+            chunk_size=3,
+        )
+        assert resumed.shard_report.resumed == 3
+        assert resumed.shard_report.computed == 0
+        assert_sweeps_identical(written, resumed)
 
     @settings(
         max_examples=8,
@@ -557,6 +612,64 @@ class TestPerChunkDispatch:
         assert {r.backend for r in sweep.shard_report.records} == {"sequential"}
 
 
+class TestLoopOnlyDispatch:
+    def test_loop_only_predicate(self, storage_loop, chain_loop, eta_chain):
+        assert loop_only(CircuitTopology(storage_loop))
+        assert not loop_only(CircuitTopology(chain_loop))
+        assert not loop_only(CircuitTopology(eta_chain))
+
+    def assert_scalar_by_dispatch(self, sweep):
+        assert sweep.vector_report is None
+        for record in sweep.shard_report.records:
+            assert record.backend == "sequential"
+            assert record.vector_reasons == ()
+            assert record.scalar_reason == LOOP_ONLY_REASON
+        assert LOOP_ONLY_REASON in sweep.shard_report.summary()
+
+    def test_auto_runs_loop_only_circuit_on_scalar_engine(
+        self, storage_loop, loop_scenarios
+    ):
+        baseline = run_many(storage_loop, loop_scenarios, backend="sequential")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = run_many_sharded(
+                storage_loop, loop_scenarios, backend="auto", chunk_size=4
+            )
+        self.assert_scalar_by_dispatch(sweep)
+        assert sweep.backend == "sharded(sequential)"
+        assert_sweeps_identical(baseline, sweep)
+
+    def test_auto_keeps_chain_with_storage_loop_on_vector(self, chain_loop):
+        scenarios = pulse_scenarios(6)
+        baseline = run_many(chain_loop, scenarios, backend="sequential")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = run_many_sharded(
+                chain_loop, scenarios, backend="auto", chunk_size=3
+            )
+        assert sweep.shard_report.computed == 2
+        for record in sweep.shard_report.records:
+            assert record.backend == "vector"
+            assert record.scalar_reason is None
+        assert sweep.vector_report.supported
+        assert_sweeps_identical(baseline, sweep)
+
+    def test_process_backend_makes_the_same_choice(
+        self, storage_loop, loop_scenarios
+    ):
+        scenarios = loop_scenarios[:4]
+        baseline = run_many(storage_loop, scenarios, backend="sequential")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = run_many_sharded(
+                storage_loop, scenarios, backend="process", chunk_size=2,
+                max_workers=1,
+            )
+        self.assert_scalar_by_dispatch(sweep)
+        assert sweep.backend == "sharded(process:sequential)"
+        assert_sweeps_identical(baseline, sweep)
+
+
 class TestValidation:
     def test_unknown_backend_rejected(self, eta_chain, mc_scenarios):
         with pytest.raises(ValueError, match="backend"):
@@ -615,6 +728,14 @@ class TestApiPlumbing:
         )
         assert rerun.provenance["chunks_resumed"] == 1
         assert rerun.rows == result.rows
+
+    def test_theorem9_on_auto_matches_sequential(self):
+        from repro import api
+
+        auto = api.experiment("theorem9", backend="auto")
+        sequential = api.experiment("theorem9", backend="sequential")
+        assert auto.rows == sequential.rows
+        assert auto.provenance["backend_executed"] == "sharded(sequential)"
 
     def test_unsharded_experiment_provenance_is_null(self):
         from repro import api
