@@ -18,7 +18,9 @@ transition at or before ``t``.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from array import array as _array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -139,16 +141,33 @@ class Signal:
         internal computations (e.g. tentative output transitions of a
         channel) produce negative times before cancellation; those callers
         relax the check.
+
+    Representations
+    ---------------
+    A signal exists in one of two forms with identical behaviour:
+
+    * *eager* -- built from :class:`Transition` objects (the constructor,
+      the scalar engine);
+    * *packed* -- its transition times held as float64 bytes, the pickle
+      and checkpoint wire format (vector result assembly, unpickling,
+      checkpoint resume).  Values are not stored: alternation is a hard
+      invariant, so they toggle starting from ``1 - initial_value``.
+      :attr:`transitions` builds the :class:`Transition` objects on first
+      access and caches them (for every live signal assembled in the
+      same batch, see ``_materialize``); equality, hashing, ``len``,
+      :attr:`final_value`, :meth:`transition_times`,
+      :meth:`stabilization_time`, :meth:`is_constant`, :meth:`is_zero`
+      and pickling never build them.
+
+    Equality and hashing depend only on the initial value and the
+    transition times (compared as floats, so ``0.0 == -0.0``), so eager
+    and packed signals of the same waveform are equal and hash alike.
     """
 
-    # _packed_times caches the float64-packed transition times (the pickle
-    # and checkpoint wire format).  Producers that already hold the times
-    # as a contiguous array (the vector backend's result assembly, packed
-    # decoding itself) prefill it; for everyone else it is computed on
-    # first packing.  Signals are immutable, so the cache can never go
-    # stale.  It is identity-only state: excluded from equality/pickling
-    # semantics (the packed form *is* the times, just pre-serialised).
-    __slots__ = ("_initial_value", "_transitions", "_packed_times")
+    __slots__ = ("_initial_value", "_transitions")
+
+    _initial_value: int
+    _transitions: Tuple[Transition, ...]
 
     def __init__(
         self,
@@ -163,7 +182,6 @@ class Signal:
         _validate_transitions(initial_value, trans, allow_negative_times)
         self._initial_value = initial_value
         self._transitions = tuple(trans)
-        self._packed_times: Optional[bytes] = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -180,24 +198,11 @@ class Signal:
         signal = cls.__new__(cls)
         signal._initial_value = initial_value
         signal._transitions = tuple(transitions)
-        signal._packed_times = None
         return signal
 
     def _pack_times(self) -> bytes:
-        """The transition times as packed little-endian float64 bytes.
-
-        The pickle and checkpoint wire format for signals (values are not
-        packed at all: alternation is a hard invariant, so they are fully
-        determined by ``initial_value``).  Cached on first use; the
-        vector backend prefills the cache straight from its result
-        arrays, making packing a hot sweep's executions nearly free.
-        """
-        packed = self._packed_times
-        if packed is None:
-            packed = self._packed_times = _array(
-                "d", [tr.time for tr in self._transitions]
-            ).tobytes()
-        return packed
+        """The transition times as packed float64 bytes (the wire format)."""
+        return _array("d", [tr.time for tr in self._transitions]).tobytes()
 
     def __reduce__(self):
         # Packed pickling: the initial value plus times as a double array.
@@ -295,7 +300,10 @@ class Signal:
 
     @property
     def transitions(self) -> Tuple[Transition, ...]:
-        """The finite-time transitions of the signal."""
+        """The finite-time transitions of the signal.
+
+        On a packed signal the first access builds the objects.
+        """
         return self._transitions
 
     @property
@@ -315,15 +323,18 @@ class Signal:
         return self._transitions[index]
 
     def __eq__(self, other: object) -> bool:
+        # Values alternate from the initial value, so the initial value
+        # and the times determine the signal.
         if not isinstance(other, Signal):
             return NotImplemented
         return (
             self._initial_value == other._initial_value
-            and self._transitions == other._transitions
+            and len(self) == len(other)
+            and self.transition_times() == other.transition_times()
         )
 
     def __hash__(self) -> int:
-        return hash((self._initial_value, self._transitions))
+        return hash((self._initial_value, tuple(self.transition_times())))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"({t.time:g},{t.value})" for t in self._transitions[:6])
@@ -503,32 +514,147 @@ def _validate_transitions(
         previous_value = tr.value
 
 
-def _signal_from_packed(initial_value: int, times: bytes) -> Signal:
-    """Rebuild a pickled :class:`Signal` from its packed representation.
+class _PackedSignal(Signal):
+    """A :class:`Signal` held as packed float64 transition times.
 
-    Transition values are derived, not stored: alternation is a hard
-    signal invariant, so they toggle starting from ``1 - initial_value``.
-    This is the hot path of process-backend result shipping and
-    checkpoint resume: millions of transitions flow through here, so the
-    objects are assembled directly (``__new__`` + ``object.__setattr__``,
-    the same thing the frozen dataclass ``__init__`` does) instead of
-    paying the constructor's argument handling and re-validation -- the
-    packed form was produced from an already-validated signal.
+    Only :func:`_signal_from_packed` creates these.  The inherited
+    ``_transitions`` slot stays empty until something reads it; that
+    read lands in :meth:`__getattr__`, which fills the slot.  The
+    accessors that never need :class:`Transition` objects work on
+    ``_times`` directly.  Eager signals keep plain slot reads: none of
+    this sits on their path.
     """
-    unpacked = _array("d")
-    unpacked.frombytes(times)
-    new, setattr_ = Transition.__new__, object.__setattr__
-    transitions = []
-    append = transitions.append
-    value = 1 - initial_value
-    for t in unpacked:
-        tr = new(Transition)
-        setattr_(tr, "time", t)
-        setattr_(tr, "value", value)
-        value = 1 - value
-        append(tr)
-    signal = Signal._trusted(initial_value, transitions)
-    # The packed form is in hand -- cache it, so re-packing (a resumed
-    # sweep re-checkpointing, a worker result pickled onward) is free.
-    signal._packed_times = bytes(times)
+
+    __slots__ = ("_times", "_batch", "__weakref__")
+
+    _times: bytes
+    #: The signals assembled together with this one (weakly held), until
+    #: one of them is read; see :func:`_materialize`.
+    _batch: Optional[List["weakref.ref[_PackedSignal]"]]
+
+    def __getattr__(self, name: str) -> Tuple[Transition, ...]:
+        # Only reached when normal lookup fails: for ``_transitions``
+        # that means the slot is still empty.
+        if name != "_transitions":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        _materialize(self)
+        return self._transitions
+
+    def _pack_times(self) -> bytes:
+        return self._times
+
+    @property
+    def final_value(self) -> int:
+        return self._initial_value ^ (len(self) & 1)
+
+    def __len__(self) -> int:
+        return len(self._times) >> 3
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _PackedSignal) and self._times == other._times:
+            return self._initial_value == other._initial_value
+        return super().__eq__(other)
+
+    __hash__ = Signal.__hash__
+
+    def transition_times(self) -> List[float]:
+        return _array("d", self._times).tolist()
+
+    def is_zero(self) -> bool:
+        return self._initial_value == 0 and not self._times
+
+    def is_constant(self) -> bool:
+        return not self._times
+
+    def stabilization_time(self) -> float:
+        if not self._times:
+            return -math.inf
+        return _array("d", self._times[-8:])[0]
+
+
+def _signal_from_packed(
+    initial_value: int,
+    times: bytes,
+    batch: Optional[List["weakref.ref[_PackedSignal]"]] = None,
+) -> Signal:
+    """A :class:`Signal` from its initial value and packed float64 times.
+
+    The unpickler of :meth:`Signal.__reduce__`, the vector backend's
+    result assembly and checkpoint decoding all build signals here, in
+    O(1): the bytes are kept as they are and the :class:`Transition`
+    objects are only built if :attr:`Signal.transitions` is read.  The
+    times must come from a well-formed signal (the vector engine's result
+    rows, or a packed signal); only their length is checked.
+
+    Signals assembled together (one vector run, one checkpoint chunk)
+    share a ``batch`` list: reading one of them builds the objects of
+    every one still alive, see :func:`_materialize`.
+
+    Raises
+    ------
+    ValueError
+        If ``times`` is not a whole number of float64 values.
+    """
+    times = bytes(times)
+    if len(times) & 7:
+        raise ValueError(f"packed signal times of {len(times)} bytes are not float64s")
+    signal = _PackedSignal.__new__(_PackedSignal)
+    signal._initial_value = initial_value
+    signal._times = times
+    signal._batch = batch
+    if batch is not None:
+        batch.append(weakref.ref(signal))
     return signal
+
+
+def _materialize(signal: _PackedSignal) -> None:
+    """Build the :class:`Transition` objects of ``signal`` and its batch.
+
+    The one place they are built from packed times.  Values toggle
+    starting from ``1 - initial_value``.  The objects are assembled with
+    ``__new__`` and the slot setters (what the frozen dataclass
+    ``__init__`` does, minus its argument handling and value check).
+
+    The signal's whole batch is built in the same burst, with the cyclic
+    garbage collector paused (Transition objects hold a float and an int
+    and cannot form cycles).  Readers usually read every signal of a
+    result, and a million objects arriving signal by signal would make
+    the collector re-scan the growing heap several times over; built in
+    one burst, they are scanned once.
+    """
+    batch = signal._batch
+    signals: List[Optional[_PackedSignal]] = (
+        [signal] if batch is None else [ref() for ref in batch]
+    )
+    new = Transition.__new__
+    set_time = _SET_TIME
+    set_value = _SET_VALUE
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for packed in signals:
+            if packed is None:
+                continue
+            transitions: List[Transition] = []
+            append = transitions.append
+            value = 1 - packed._initial_value
+            for t in _array("d", packed._times).tolist():
+                transition = new(Transition)
+                set_time(transition, t)
+                set_value(transition, value)
+                append(transition)
+                value ^= 1
+            packed._transitions = tuple(transitions)
+            packed._batch = None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    if batch is not None:
+        batch.clear()
+
+
+# Slot setters of the frozen Transition, which bypass its __setattr__.
+_SET_TIME = Transition.__dict__["time"].__set__
+_SET_VALUE = Transition.__dict__["value"].__set__

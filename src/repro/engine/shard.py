@@ -440,12 +440,16 @@ def make_chunks(
 # --------------------------------------------------------------------------- #
 # Signals are packed exactly like Signal.__reduce__ does for the process
 # backend -- the initial value plus a float64 time array, base64-wrapped
-# for JSON -- so encoding costs O(transitions) array appends instead of
-# per-float repr() calls, and decoding reuses the trusted fast path.
+# for JSON.  Both directions are O(1) per signal beyond the base64 pass
+# for packed signals (vector results, resumed chunks): encoding hands
+# over the signal's bytes and decoding keeps them; Transition objects
+# are built only if a caller reads them, for the whole chunk at once.
 # Transition values are never stored: alternation is a hard Signal
 # invariant, so the value sequence is fully determined by the initial
 # value.  Float64 bits survive the round trip exactly, which is what
-# makes a resumed sweep bit-identical to an uninterrupted one.
+# makes a resumed sweep bit-identical to an uninterrupted one.  A time
+# buffer that is not a whole number of float64s raises ValueError, so
+# the chunk counts as damaged.
 
 
 def _pack_signal(signal: Signal) -> Dict[str, Any]:
@@ -455,8 +459,8 @@ def _pack_signal(signal: Signal) -> Dict[str, Any]:
     }
 
 
-def _unpack_signal(data: Dict[str, Any]) -> Signal:
-    return _signal_from_packed(int(data["i"]), base64.b64decode(data["t"]))
+def _unpack_signal(data: Dict[str, Any], batch: List) -> Signal:
+    return _signal_from_packed(int(data["i"]), base64.b64decode(data["t"]), batch)
 
 
 def _encode_chunk_payload(outcome: "_ChunkOutcome") -> Dict[str, Any]:
@@ -495,12 +499,15 @@ def _decode_chunk_payload(topo: CircuitTopology, chunk: SweepChunk, payload):
         if len(encoded_runs) != len(chunk.scenarios):
             return None
         runs = []
+        batch: List = []
         for scenario, data in zip(chunk.scenarios, encoded_runs):
             node_signals = {
-                name: _unpack_signal(sig) for name, sig in data["node_signals"].items()
+                name: _unpack_signal(sig, batch)
+                for name, sig in data["node_signals"].items()
             }
             edge_signals = {
-                name: _unpack_signal(sig) for name, sig in data["edge_signals"].items()
+                name: _unpack_signal(sig, batch)
+                for name, sig in data["edge_signals"].items()
             }
             output_signals = {o: node_signals[o] for o in topo.output_ports}
             runs.append(

@@ -73,7 +73,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.transitions import Signal, Transition
+from ..core.transitions import Signal, _signal_from_packed
 from .capability import (
     EdgeFact,
     VectorCapability,
@@ -958,9 +958,9 @@ class VectorProgram:
         """Execute all scenarios and assemble per-scenario results.
 
         The cyclic garbage collector is paused for the duration: a large
-        sweep assembles millions of long-lived Transition/Signal objects
-        in one burst, and generational collections scanning that growing
-        heap would otherwise triple the assembly cost.
+        sweep assembles thousands of long-lived Signal, dict and RunResult
+        objects in one burst, and generational collections would scan
+        that growing heap (and whatever the caller already holds).
         """
         import gc
 
@@ -1253,39 +1253,17 @@ class VectorProgram:
             )
 
         # --- assemble per-scenario executions ----------------------------- #
-        value_patterns: Dict[tuple, List[int]] = {}
-        # Bulk Transition construction: __new__ + object.__setattr__ skips
-        # the frozen-dataclass __init__/__post_init__ layers (the values
-        # are 0/1 by construction); ~30% cheaper over the ~10^6 transitions
-        # a large sweep assembles.
-        transition_new = Transition.__new__
-        set_attr = object.__setattr__
+        # A row's times are already the signal's packed wire format, so
+        # each signal costs one bytes copy; Transition objects are built
+        # only if a caller reads them, for the whole batch at once.
+        batch: List = []
 
         def row_signal(matrix: _SignalMatrix, s: int) -> Signal:
-            count = int(matrix.counts[s])
-            if count == 0:
-                return Signal._trusted(matrix.initial, ())
-            key = (matrix.initial, count)
-            pattern = value_patterns.get(key)
-            if pattern is None:
-                pattern = [(matrix.initial ^ ((i + 1) & 1)) for i in range(count)]
-                value_patterns[key] = pattern
-            row_times = matrix.times[s, :count]
-            row = row_times.tolist()
-            transitions = []
-            append = transitions.append
-            for t, v in zip(row, pattern):
-                transition = transition_new(Transition)
-                set_attr(transition, "time", t)
-                set_attr(transition, "value", v)
-                append(transition)
-            signal = Signal._trusted(matrix.initial, transitions)
-            # Prefill the packed-times cache straight from the result
-            # matrix (the same float64 bits tolist() just expanded):
-            # pickling to the parent process and checkpoint encoding
-            # then skip re-packing a million transitions one by one.
-            signal._packed_times = row_times.tobytes()
-            return signal
+            return _signal_from_packed(
+                matrix.initial,
+                matrix.times[s, : int(matrix.counts[s])].tobytes(),
+                batch,
+            )
 
         runs: List[object] = []
         for s, scenario in enumerate(scenarios):

@@ -1,10 +1,14 @@
 """Unit tests for signals and transitions."""
 
+import gc
 import math
+import pickle
 
 import pytest
 
 from repro.core import Pulse, Signal, SignalError, Transition
+from repro.core import transitions as transitions_module
+from repro.core.transitions import _signal_from_packed
 
 
 class TestTransition:
@@ -214,3 +218,117 @@ class TestSignalTransformations:
     def test_repr_is_compact(self):
         text = repr(Signal.pulse_train(0.0, [1.0] * 10, [1.0] * 9))
         assert "..." in text
+
+
+def _packed(signal):
+    """The same waveform as a packed signal (what unpickling builds)."""
+    return _signal_from_packed(signal.initial_value, signal._pack_times())
+
+
+def _materialized(signal):
+    """Whether ``signal`` holds Transition objects, read without building them."""
+    try:
+        Signal._transitions.__get__(signal)
+    except AttributeError:
+        return False
+    return True
+
+
+PARITY_SIGNALS = [
+    Signal.zero(),
+    Signal.one(),
+    Signal.step(2.0),
+    Signal.from_times([-0.0, 3.0], initial_value=1),
+    Signal.from_times([0.5, 1.0, 4.25, 7.0, 7.5]),
+    Signal.pulse_train(1.0, [0.3] * 40, [0.7] * 39, initial_value=1),
+]
+
+
+class TestPackedSignals:
+    @pytest.mark.parametrize("eager", PARITY_SIGNALS, ids=repr)
+    def test_packed_and_eager_agree(self, eager):
+        packed = _packed(eager)
+        assert packed == eager and eager == packed
+        assert not packed != eager
+        assert hash(packed) == hash(eager)
+        assert len(packed) == len(eager)
+        assert packed.final_value == eager.final_value
+        assert packed.transition_times() == eager.transition_times()
+        assert packed.stabilization_time() == eager.stabilization_time()
+        assert packed.is_constant() == eager.is_constant()
+        assert packed.is_zero() == eager.is_zero()
+        assert packed.transitions == eager.transitions
+        assert pickle.loads(pickle.dumps(packed)) == eager
+        assert pickle.loads(pickle.dumps(eager)) == packed
+
+    def test_times_keep_their_bits(self):
+        packed = _packed(Signal.from_times([-0.0, 3.0], initial_value=1))
+        assert math.copysign(1.0, packed.transition_times()[0]) == -1.0
+        assert math.copysign(1.0, packed.transitions[0].time) == -1.0
+        # Equality compares float values, as Transition does.
+        assert packed == Signal.from_times([0.0, 3.0], initial_value=1)
+        assert packed == _packed(Signal.from_times([0.0, 3.0], initial_value=1))
+        assert hash(packed) == hash(Signal.from_times([0.0, 3.0], initial_value=1))
+
+    def test_differences_are_seen(self):
+        base = _packed(Signal.from_times([1.0, 2.0]))
+        assert base != _packed(Signal.from_times([1.0, 2.5]))
+        assert base != _packed(Signal.from_times([1.0, 2.0], initial_value=1))
+        assert base != Signal.from_times([1.0])
+        assert base != Signal.from_times([1.0, 2.0], initial_value=1)
+
+    def test_cheap_accessors_build_no_transitions(self):
+        from repro.engine.shard import _pack_signal
+
+        signal = _packed(PARITY_SIGNALS[-1])
+        other = _packed(PARITY_SIGNALS[-1])
+        len(signal)
+        signal.transition_times()
+        signal.final_value
+        signal.stabilization_time()
+        signal.is_constant()
+        signal.is_zero()
+        assert signal == other
+        assert signal != _packed(PARITY_SIGNALS[-2])
+        hash(signal)
+        pickle.dumps(signal)
+        _pack_signal(signal)
+        assert not _materialized(signal) and not _materialized(other)
+        assert signal.transitions == PARITY_SIGNALS[-1].transitions
+        assert _materialized(signal)
+
+    def test_reading_one_signal_builds_its_batch(self):
+        batch = []
+        signals = [
+            _signal_from_packed(s.initial_value, s._pack_times(), batch)
+            for s in PARITY_SIGNALS
+        ]
+        del signals[1]  # a dead member is skipped
+        signals[0].transitions
+        assert all(_materialized(s) for s in signals)
+        assert batch == []
+        assert [s.transitions for s in signals] == [
+            s.transitions for s in PARITY_SIGNALS if s is not PARITY_SIGNALS[1]
+        ]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_building_restores_the_gc_state(self, enabled, monkeypatch):
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            _packed(PARITY_SIGNALS[-1]).transitions
+            assert gc.isenabled() == enabled
+
+            def broken(transition, time):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(transitions_module, "_SET_TIME", broken)
+            with pytest.raises(RuntimeError):
+                _packed(PARITY_SIGNALS[-1]).transitions
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_times_must_be_whole_float64s(self):
+        with pytest.raises(ValueError):
+            _signal_from_packed(0, bytes(12))

@@ -224,11 +224,11 @@ class TestChunking:
         assert make_chunks(reseeded, 3, circuit_spec=spec)[0].key != base[0].key
 
 
-def test_vector_prefilled_packed_times_match_transitions(eta_chain, mc_scenarios):
-    # The vector backend prefills Signal._packed_times straight from its
-    # result matrices; the checkpoint codec trusts that cache.  If the
-    # prefill ever disagreed with the materialized transitions, resumed
-    # sweeps would silently decode different waveforms.
+def test_vector_packed_times_match_materialized_transitions(eta_chain, mc_scenarios):
+    # Vector results hand their result rows over as packed times, which
+    # the checkpoint codec writes as they are.  If the Transition objects
+    # built from them ever disagreed with those bytes, resumed sweeps
+    # would silently decode different waveforms.
     from array import array
 
     result = run_many(eta_chain, mc_scenarios, backend="vector")
@@ -236,10 +236,13 @@ def test_vector_prefilled_packed_times_match_transitions(eta_chain, mc_scenarios
     for run in result.runs:
         signals = {**run.execution.node_signals, **run.execution.edge_signals}
         for signal in signals.values():
-            cached = signal._pack_times()
-            fresh = array("d", [tr.time for tr in signal.transitions]).tobytes()
-            assert cached == fresh
-            checked += len(signal.transitions)
+            packed = signal._pack_times()
+            transitions = signal.transitions
+            assert array("d", [tr.time for tr in transitions]).tobytes() == packed
+            values = [tr.value for tr in transitions]
+            value = 1 - signal.initial_value
+            assert values == [value ^ (i & 1) for i in range(len(values))]
+            checked += len(transitions)
     assert checked > 0
 
 
@@ -400,6 +403,29 @@ class TestCheckpointResume:
             resumed = run_many_sharded(
                 eta_chain, mc_scenarios, checkpoint=store, chunk_size=3
             )
+        assert resumed.shard_report.computed == 1
+        assert resumed.shard_report.resumed == 2
+        assert_sweeps_identical(baseline, resumed)
+
+    def test_damaged_signal_times_are_recomputed(
+        self, eta_chain, mc_scenarios, baseline, tmp_path
+    ):
+        # Resumed signals keep their packed bytes, so a time buffer that
+        # is not a whole number of float64s must be caught at decode time.
+        import base64
+        import json
+
+        store = ArtifactStore(tmp_path / "ckpt")
+        run_many_sharded(eta_chain, mc_scenarios, checkpoint=store, chunk_size=3)
+        victim = store.paths()[0]
+        data = json.loads(victim.read_text())
+        signals = data["payload"]["runs"][0]["edge_signals"]
+        signal = signals[sorted(signals)[0]]
+        signal["t"] = base64.b64encode(bytes(12)).decode("ascii")
+        victim.write_text(json.dumps(data))
+        resumed = run_many_sharded(
+            eta_chain, mc_scenarios, checkpoint=store, chunk_size=3
+        )
         assert resumed.shard_report.computed == 1
         assert resumed.shard_report.resumed == 2
         assert_sweeps_identical(baseline, resumed)
